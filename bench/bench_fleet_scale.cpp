@@ -212,7 +212,8 @@ main()
       .Set(parallel.events_per_sec);
   metrics.gauge("fleet.scaling.speedup").Set(speedup);
   metrics.gauge("fleet.lane_hash_match").Set(hash_match ? 1.0 : 0.0);
-  bench::MaybeExportBenchJson("bench_fleet_scale", observability);
+  bench::MaybeExportBenchJson("bench_fleet_scale", observability,
+                              room.end_at.value());
 
   if (!hash_match) {
     std::fprintf(stderr, "FAIL: fleet diverged across lane counts\n");

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "obs/export.hpp"
@@ -56,18 +57,24 @@ PrintHeader(const std::string& experiment, const std::string& artifact,
 /**
  * Appends this bench's metrics snapshot as one JSON line to the
  * trajectory file named by FLEX_BENCH_JSON (e.g. BENCH_obs.json).
- * No-op when the variable is unset. @return true when a line was
+ * No-op when the variable is unset. @p sim_time_s stamps the simulated
+ * horizon the bench stepped when its registry has no bound clock (the
+ * snapshot's own clock stamp otherwise). @return true when a line was
  * written.
  */
 inline bool
 MaybeExportBenchJson(const std::string& bench_name,
-                     const obs::Observability& observability)
+                     const obs::Observability& observability,
+                     std::optional<double> sim_time_s = std::nullopt)
 {
   const char* path = std::getenv("FLEX_BENCH_JSON");
   if (path == nullptr || *path == '\0')
     return false;
-  const bool ok = obs::AppendLine(
-      path, obs::BenchJsonLine(bench_name, observability.metrics().Snapshot()));
+  obs::MetricsSnapshot snapshot = observability.metrics().Snapshot();
+  if (sim_time_s)
+    snapshot.sim_time_seconds = *sim_time_s;
+  const bool ok =
+      obs::AppendLine(path, obs::BenchJsonLine(bench_name, snapshot));
   if (ok)
     std::printf("metrics appended to %s\n", path);
   else

@@ -23,7 +23,6 @@ using workload::Category;
 RoomEmulation::RoomEmulation(EmulationConfig config)
     : config_(config),
       topology_(config.room),
-      queue_(config.queue_impl),
       rng_(config.seed),
       agg_(topology_)
 {
@@ -185,10 +184,7 @@ RoomEmulation::BuildRoom()
       config_.pipeline, rng_.NextU64());
 
   // Poll racks grouped by their PDU pair's primary UPS so each tick
-  // walks one electrical domain at a time (batches keyed by UPS). The
-  // incremental engine publishes one batch per UPS group — finer event
-  // granularity, identical delivered readings; the baseline flag keeps
-  // the pre-incremental structure of one room-sized batch per tick.
+  // walks one electrical domain at a time: one batch per UPS group.
   {
     std::vector<std::vector<int>> racks_of_pdu(
         static_cast<std::size_t>(topology_.NumPduPairs()));
@@ -206,21 +202,12 @@ RoomEmulation::BuildRoom()
         group.insert(group.end(), racks.begin(), racks.end());
       }
     }
-    if (config_.incremental_aggregation) {
-      pipeline_->SetRackPollGroups(std::move(groups));
-    } else {
-      std::vector<int> order;
-      order.reserve(n);
-      for (const std::vector<int>& group : groups)
-        order.insert(order.end(), group.begin(), group.end());
-      pipeline_->SetRackPollOrder(std::move(order));
-    }
+    pipeline_->SetRackPollGroups(std::move(groups));
   }
 
   // Seed the aggregates with the initial rack powers (everything on,
   // uncapped, ramp at t = 0).
-  if (config_.incremental_aggregation)
-    RebuildAggregates();
+  RebuildAggregates();
 
   // Impact registry from the configured scenario.
   online::ImpactRegistry impact;
@@ -290,41 +277,6 @@ RoomEmulation::ComputeRackPowerW(int rack_id, double ramp) const
   return demand;
 }
 
-Watts
-RoomEmulation::TrueRackPower(int rack_id) const
-{
-  const auto i = static_cast<std::size_t>(rack_id);
-  const actuation::RackState& state = plane_->rack(rack_id).state();
-  if (!state.powered_on)
-    return Watts(0.0);
-  Watts demand(rack_alloc_w_[i] * rack_util_[i].value() * RampNow());
-  if (state.power_cap && demand > *state.power_cap)
-    demand = *state.power_cap;
-  return demand;
-}
-
-std::vector<Watts>
-RoomEmulation::TrueUpsLoads() const
-{
-  power::PduPairLoads pdu_loads(
-      static_cast<std::size_t>(topology_.NumPduPairs()), Watts(0.0));
-  for (int id = 0; id < report_.total_racks; ++id) {
-    pdu_loads[static_cast<std::size_t>(rack_pdu_[static_cast<std::size_t>(
-        id)])] += TrueRackPower(id);
-  }
-  if (failed_ups_ >= 0)
-    return power::FailoverUpsLoads(topology_, pdu_loads, failed_ups_);
-  return power::NormalUpsLoads(topology_, pdu_loads);
-}
-
-std::vector<Watts>
-RoomEmulation::UpsLoadsNow() const
-{
-  if (config_.incremental_aggregation)
-    return agg_.UpsLoads();
-  return TrueUpsLoads();
-}
-
 void
 RoomEmulation::RebuildAggregates()
 {
@@ -363,8 +315,6 @@ RoomEmulation::OnRackStateChanged(int rack_id)
   rack_on_[i] = now_on ? 1 : 0;
   rack_cap_w_[i] = now_capped ? state.power_cap->value() : -1.0;
 
-  if (!config_.incremental_aggregation)
-    return;
   // The rack's electrical draw just changed: apply the delta to the
   // running sums instead of rescanning the room.
   const double p = ComputeRackPowerW(rack_id, RampNow());
@@ -399,33 +349,42 @@ RoomEmulation::VerifyAggregates()
         std::abs(running[u].value() - ups_exact[u].value()) <= tolerance,
         "incremental UPS aggregation diverged from exact rescan");
   }
+  // The listener-maintained action counters must match a scan of the
+  // authoritative rack plane exactly.
+  int off = 0;
+  int capped = 0;
+  int noncap_acted = 0;
+  for (int id = 0; id < report_.total_racks; ++id) {
+    const actuation::RackState& state = plane_->rack(id).state();
+    if (!state.powered_on)
+      ++off;
+    else if (state.power_cap)
+      ++capped;
+    if ((!state.powered_on || state.power_cap) &&
+        rack_category_[static_cast<std::size_t>(id)] ==
+            Category::kNonRedundantNonCapable)
+      ++noncap_acted;
+  }
+  FLEX_CHECK_MSG(off == off_count_, "racks-off counter diverged from scan");
+  FLEX_CHECK_MSG(capped == capped_count_,
+                 "racks-capped counter diverged from scan");
+  FLEX_CHECK_MSG(noncap_acted == noncap_acted_count_,
+                 "non-cap-able acted counter diverged from scan");
   ++verify_rescans_;
 }
 
 Watts
 RoomEmulation::CurrentPower(DeviceId device) const
 {
-  if (device.kind == DeviceKind::kRack) {
-    if (config_.incremental_aggregation)
-      return Watts(rack_power_w_[static_cast<std::size_t>(device.index)]);
-    return TrueRackPower(device.index);
-  }
-  if (config_.incremental_aggregation)
-    return agg_.UpsLoads()[static_cast<std::size_t>(device.index)];
-  return TrueUpsLoads()[static_cast<std::size_t>(device.index)];
+  if (device.kind == DeviceKind::kRack)
+    return Watts(rack_power_w_[static_cast<std::size_t>(device.index)]);
+  return agg_.UpsLoads()[static_cast<std::size_t>(device.index)];
 }
 
 void
 RoomEmulation::CurrentPowerBatch(DeviceKind kind,
                                  std::vector<Watts>& out) const
 {
-  if (!config_.incremental_aggregation) {
-    // Baseline path: per-device answers, i.e. one full rack scan per UPS
-    // device per tick — the pre-incremental cost model the room-scale
-    // bench measures against.
-    PowerSource::CurrentPowerBatch(kind, out);
-    return;
-  }
   if (kind == DeviceKind::kUps) {
     const std::vector<Watts>& loads = agg_.UpsLoads();
     for (std::size_t u = 0; u < out.size(); ++u)
@@ -441,7 +400,7 @@ RoomEmulation::StepWorkloads()
 {
   FLEX_PROFILE_PHASE("emulation.step");
   // Batteries ride through whatever overload the current loads impose.
-  const std::vector<Watts> ups_loads = UpsLoadsNow();
+  const std::vector<Watts>& ups_loads = agg_.UpsLoads();
   for (UpsId u = 0; u < topology_.NumUpses(); ++u) {
     power::BatteryModel& battery = batteries_[static_cast<std::size_t>(u)];
     battery.Advance(ups_loads[static_cast<std::size_t>(u)],
@@ -485,8 +444,7 @@ RoomEmulation::StepWorkloads()
 
   // Every rack's demand just changed; refresh the cached powers and the
   // aggregates with one exact pass (also bounds delta rounding drift).
-  if (config_.incremental_aggregation)
-    RebuildAggregates();
+  RebuildAggregates();
 
   const bool in_failover_window =
       queue_.Now() >= config_.failover_at && queue_.Now() < config_.restore_at;
@@ -517,30 +475,14 @@ RoomEmulation::RecordSample()
 {
   EmulationSample sample;
   sample.t_seconds = queue_.Now().value();
-  const std::vector<Watts> ups = UpsLoadsNow();
+  const std::vector<Watts>& ups = agg_.UpsLoads();
   for (const Watts w : ups)
     sample.ups_mw.push_back(w.megawatts());
-  if (config_.incremental_aggregation) {
-    sample.total_rack_mw = agg_.TotalLoad().megawatts();
-    sample.racks_off = off_count_;
-    sample.racks_capped = capped_count_;
-    if (config_.verify_aggregation)
-      VerifyAggregates();
-  } else {
-    for (int id = 0; id < report_.total_racks; ++id)
-      sample.total_rack_mw += TrueRackPower(id).megawatts();
-    int off = 0;
-    int capped = 0;
-    for (int id = 0; id < report_.total_racks; ++id) {
-      const actuation::RackState& state = plane_->rack(id).state();
-      if (!state.powered_on)
-        ++off;
-      else if (state.power_cap)
-        ++capped;
-    }
-    sample.racks_off = off;
-    sample.racks_capped = capped;
-  }
+  sample.total_rack_mw = agg_.TotalLoad().megawatts();
+  sample.racks_off = off_count_;
+  sample.racks_capped = capped_count_;
+  if (config_.verify_aggregation)
+    VerifyAggregates();
   report_.series.push_back(std::move(sample));
 
   // Without a dedicated monitor, safety tracking rides the sample tick.
@@ -795,25 +737,22 @@ RoomEmulation::StartTimeline()
     RecordSample();
     return queue_.Now() < config_.end_at;
   });
-  // Dedicated high-resolution safety monitor: O(UPSes) per tick on the
-  // incremental path, O(racks) on the full-rescan baseline.
+  // Dedicated high-resolution safety monitor: O(UPSes) per tick.
   if (config_.monitor_period.value() > 0.0) {
     sim::SchedulePeriodic(queue_, config_.monitor_period, [this] {
-      MonitorTick(UpsLoadsNow());
+      MonitorTick(agg_.UpsLoads());
       return queue_.Now() < config_.end_at;
     });
   }
   // Stage C: fail a UPS.
   queue_.ScheduleAt(config_.failover_at, [this] {
     failed_ups_ = config_.failed_ups;
-    if (config_.incremental_aggregation)
-      agg_.SetFailedUps(failed_ups_);
+    agg_.SetFailedUps(failed_ups_);
   });
   // Stage F: restore it.
   queue_.ScheduleAt(config_.restore_at, [this] {
     failed_ups_ = -1;
-    if (config_.incremental_aggregation)
-      agg_.SetFailedUps(-1);
+    agg_.SetFailedUps(-1);
   });
   // Scripted telemetry outage: every poller fails, then recovers. The
   // alerting drill rides this — delivered readings go flat, and the
@@ -835,7 +774,7 @@ RoomEmulation::StartTimeline()
       return true;
     if (time_to_safe_ >= 0.0)
       return false;
-    const std::vector<Watts> ups = UpsLoadsNow();
+    const std::vector<Watts>& ups = agg_.UpsLoads();
     bool safe = true;
     for (UpsId u = 0; u < topology_.NumUpses(); ++u) {
       if (ups[static_cast<std::size_t>(u)] > topology_.UpsCapacity(u))
@@ -848,33 +787,13 @@ RoomEmulation::StartTimeline()
     return true;
   });
 
-  // Track peak action counts during the episode. The incremental path
-  // reads the listener-maintained counters; the baseline path rescans.
+  // Track peak action counts during the episode from the
+  // listener-maintained counters.
   sim::SchedulePeriodic(queue_, Seconds(1.0), [this] {
-    int off = 0;
-    int capped = 0;
-    int noncap_acted = 0;
-    if (config_.incremental_aggregation) {
-      off = off_count_;
-      capped = capped_count_;
-      noncap_acted = noncap_acted_count_;
-    } else {
-      for (int id = 0; id < report_.total_racks; ++id) {
-        const actuation::RackState& state = plane_->rack(id).state();
-        const bool acted = !state.powered_on || state.power_cap.has_value();
-        if (!state.powered_on)
-          ++off;
-        else if (state.power_cap)
-          ++capped;
-        if (acted && rack_category_[static_cast<std::size_t>(id)] ==
-                         Category::kNonRedundantNonCapable)
-          ++noncap_acted;
-      }
-    }
-    report_.sr_shutdown_peak = std::max(report_.sr_shutdown_peak, off);
+    report_.sr_shutdown_peak = std::max(report_.sr_shutdown_peak, off_count_);
     report_.capable_capped_peak =
-        std::max(report_.capable_capped_peak, capped);
-    report_.noncap_acted = std::max(report_.noncap_acted, noncap_acted);
+        std::max(report_.capable_capped_peak, capped_count_);
+    report_.noncap_acted = std::max(report_.noncap_acted, noncap_acted_count_);
     return queue_.Now() < config_.end_at;
   });
 }
@@ -895,11 +814,7 @@ RoomEmulation::SnapshotEpoch(RoomEpochView* out) const
 {
   FLEX_REQUIRE(out != nullptr, "null epoch view");
   out->t_seconds = queue_.Now().value();
-  out->total_rack_mw = config_.incremental_aggregation
-                           ? agg_.TotalLoad().megawatts()
-                           : (report_.series.empty()
-                                  ? 0.0
-                                  : report_.series.back().total_rack_mw);
+  out->total_rack_mw = agg_.TotalLoad().megawatts();
   out->max_ups_load_fraction = max_ups_load_fraction_;
   out->events_executed = queue_.executed_count();
   out->racks_off = off_count_;

@@ -7,16 +7,11 @@
  * overload, and workloads vary their power — all as events on a single
  * deterministic queue.
  *
- * Two interchangeable implementations share one observable contract
- * (FIFO at equal timestamps, lazy cancellation, observer order):
- *
- *  - kHeap: the classic binary heap. O(log n) per operation with
- *    std::function-heavy sift moves; robust for any event pattern.
- *  - kCalendar: a two-level calendar queue. Near-future events land in a
- *    fixed wheel of time buckets (O(1) insert, short linear scan per
- *    pop); far-future events overflow into a heap that refills the wheel
- *    whenever it drains. Timer-heavy rooms (thousands of periodic polls
- *    within a few seconds of now) stop paying the per-event log factor.
+ * The pending set is a two-level calendar queue. Near-future events land
+ * in a fixed wheel of time buckets (O(1) insert, short linear scan per
+ * pop); far-future events overflow into a heap that refills the wheel
+ * whenever it drains. Timer-heavy rooms (thousands of periodic polls
+ * within a few seconds of now) do not pay a per-event log factor.
  */
 #ifndef FLEX_SIM_EVENT_QUEUE_HPP_
 #define FLEX_SIM_EVENT_QUEUE_HPP_
@@ -43,8 +38,7 @@ using ObserverId = std::uint64_t;
  *
  * Events at equal timestamps fire in scheduling order (FIFO), which makes
  * multi-controller races reproducible. Cancellation is lazy: cancelled
- * events stay in their container but are skipped when reached. Both
- * implementations execute any event trace in the same order.
+ * events stay in their container but are skipped when reached.
  */
 class EventQueue {
  public:
@@ -52,16 +46,7 @@ class EventQueue {
   /** Invoked after every executed event with the event's timestamp. */
   using Observer = std::function<void(Seconds)>;
 
-  /** Backing store for the pending-event set. */
-  enum class Impl {
-    kCalendar,  // two-level bucket wheel + far-future heap (default)
-    kHeap,      // single binary heap
-  };
-
-  explicit EventQueue(Impl impl = Impl::kCalendar);
-
-  /** Which backing implementation this queue runs on. */
-  Impl impl() const { return impl_; }
+  EventQueue();
 
   /** Current simulated time. */
   Seconds Now() const { return now_; }
@@ -77,14 +62,6 @@ class EventQueue {
 
   /** Removes an observer; removing a missing handle is a no-op. */
   void RemoveObserver(ObserverId id);
-
-  /**
-   * Deprecated single-observer API, kept for older call sites. Replaces
-   * the observer installed by the previous SetObserver call (other
-   * AddObserver registrations are untouched). Pass an empty function to
-   * detach. Prefer AddObserver().
-   */
-  void SetObserver(Observer observer);
 
   /** Number of installed observers. */
   std::size_t observer_count() const { return observers_.size(); }
@@ -171,24 +148,23 @@ class EventQueue {
 
   void Insert(Entry entry);
   /**
+   * Finds the earliest live event by (when, sequence), compacting
+   * cancelled entries out of the buckets it scans and rebasing the wheel
+   * from the far heap when the buckets run dry. The entry stays in its
+   * bucket. @return nullptr when no live event is pending.
+   */
+  Entry* FindEarliest();
+  /**
    * Pops the earliest live event if its timestamp is <= @p horizon
-   * (pass infinity for "any"). Skips and discards cancelled entries on
-   * the way. @return false when nothing runnable is within the horizon.
+   * (pass infinity for "any"). @return false when nothing runnable is
+   * within the horizon.
    */
   bool PopEarliest(double horizon, Entry& out);
-  bool PopEarliestHeap(double horizon, Entry& out);
-  bool PopEarliestCalendar(double horizon, Entry& out);
-  /** Earliest live timestamp without executing; +inf when drained. */
-  double PeekEarliestHeap();
-  double PeekEarliestCalendar();
   /** Moves the wheel onto the earliest far-heap event. @return false if none. */
   bool AdvanceWheel();
   void NotifyObservers(Seconds when);
 
-  Impl impl_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;  // kHeap store
-
-  // kCalendar store. wheel_entries_ counts entries resident in buckets,
+  // Calendar store. wheel_entries_ counts entries resident in buckets,
   // live or cancelled (cancelled ones are discovered and dropped during
   // bucket scans). Invariant: far_heap_ holds only events at or beyond
   // wheel_start_ + kNumBuckets * kBucketWidth, re-established each time
@@ -208,7 +184,6 @@ class EventQueue {
   EventId next_id_ = 1;
   std::vector<ObserverEntry> observers_;  // in installation order
   ObserverId next_observer_id_ = 1;
-  ObserverId legacy_observer_id_ = 0;  // slot managed by SetObserver()
   std::uint64_t executed_count_ = 0;
 };
 

@@ -112,13 +112,6 @@ class TelemetryPipeline {
   void Subscribe(Subscriber subscriber);
 
   /**
-   * Sets the order in which rack meters are visited each tick. Must be a
-   * permutation of [0, num_racks). Equivalent to SetRackPollGroups with
-   * a single group: every rack still publishes in one batch per tick.
-   */
-  void SetRackPollOrder(std::vector<int> order);
-
-  /**
    * Splits each rack poll tick into one batch per group (RoomEmulation
    * passes racks grouped by their PDU pair's primary UPS, so each batch
    * covers one electrical domain). The groups together must cover

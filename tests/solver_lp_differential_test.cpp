@@ -1,11 +1,11 @@
 /**
  * @file
- * Differential test harness for the two simplex implementations.
+ * Differential test harness for the simplex solver.
  *
- * The sparse bounded-variable revised simplex (SimplexImpl::kSparse) is
- * checked against the dense flat-tableau oracle (SimplexImpl::kDense)
- * on hundreds of seeded random LPs spanning all three outcomes
- * (optimal / infeasible / unbounded). The two implementations share no
+ * The sparse bounded-variable revised simplex (SimplexSolver) is
+ * checked against the dense flat-tableau oracle (DenseOracleSolve, built
+ * only into the tests) on hundreds of seeded random LPs spanning all
+ * three outcomes (optimal / infeasible / unbounded). The two share no
  * pivoting code — dense materializes bound rows and shifts variables,
  * sparse handles bounds natively on a factorized basis — so agreement
  * on status and objective is strong evidence both are right.
@@ -24,6 +24,7 @@
 #include "common/rng.hpp"
 #include "solver/model.hpp"
 #include "solver/simplex.hpp"
+#include "dense_oracle.hpp"
 
 namespace flex::solver {
 namespace {
@@ -135,12 +136,7 @@ CheckCertificate(const Model& m, const LpResult& r, std::uint64_t seed)
 
 TEST(LpDifferentialTest, SparseAgreesWithDenseOracleOn500RandomLps)
 {
-  SimplexSolver::Options sparse_opts;
-  sparse_opts.impl = SimplexImpl::kSparse;
-  SimplexSolver::Options dense_opts;
-  dense_opts.impl = SimplexImpl::kDense;
-  const SimplexSolver sparse(sparse_opts);
-  const SimplexSolver dense(dense_opts);
+  const SimplexSolver sparse;
 
   int optimal = 0;
   int infeasible = 0;
@@ -149,7 +145,7 @@ TEST(LpDifferentialTest, SparseAgreesWithDenseOracleOn500RandomLps)
     SCOPED_TRACE("seed " + std::to_string(seed));
     const Model m = MakeRandomLp(seed);
     const LpResult rs = sparse.Solve(m);
-    const LpResult rd = dense.Solve(m);
+    const LpResult rd = DenseOracleSolve(m);
 
     ASSERT_NE(rs.status, LpStatus::kIterationLimit);
     ASSERT_NE(rd.status, LpStatus::kIterationLimit);
@@ -190,10 +186,7 @@ TEST(LpDifferentialTest, AgreementHoldsUnderBoundOverrides)
 {
   // Branch-and-bound exercises SolveWithBounds, not Solve; run a
   // narrower differential sweep through that entry point.
-  SimplexSolver::Options dense_opts;
-  dense_opts.impl = SimplexImpl::kDense;
-  const SimplexSolver sparse;  // defaults to kSparse
-  const SimplexSolver dense(dense_opts);
+  const SimplexSolver sparse;
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const Model m = MakeRandomLp(seed);
@@ -211,7 +204,7 @@ TEST(LpDifferentialTest, AgreementHoldsUnderBoundOverrides)
         overrides[static_cast<std::size_t>(j)] = {lo, hi};
     }
     const LpResult rs = sparse.SolveWithBounds(m, overrides);
-    const LpResult rd = dense.SolveWithBounds(m, overrides);
+    const LpResult rd = DenseOracleSolve(m, overrides);
     ASSERT_EQ(rs.status, rd.status);
     if (rs.status == LpStatus::kOptimal) {
       const double scale = std::max(1.0, std::fabs(rd.objective));
@@ -229,10 +222,7 @@ TEST(LpDifferentialTest, DualSimplexWarmRestartAgreesWithColdOracleOn500Seeds)
   // this sweep is what lets the solver *trust* a dual-simplex
   // kInfeasible verdict as a Farkas certificate: the oracle confirms
   // every one independently.
-  SimplexSolver::Options dense_opts;
-  dense_opts.impl = SimplexImpl::kDense;
-  const SimplexSolver sparse;  // defaults to kSparse
-  const SimplexSolver dense(dense_opts);
+  const SimplexSolver sparse;
   SimplexWorkspace ws;
 
   int compared = 0;
@@ -294,7 +284,7 @@ TEST(LpDifferentialTest, DualSimplexWarmRestartAgreesWithColdOracleOn500Seeds)
 
     const LpResult rw = sparse.SolveWithBounds(m, overrides, &ws, &basis,
                                                nullptr);
-    const LpResult rd = dense.SolveWithBounds(m, overrides);
+    const LpResult rd = DenseOracleSolve(m, overrides);
     ASSERT_NE(rw.status, LpStatus::kIterationLimit);
     ASSERT_EQ(rw.status, rd.status)
         << "warm sparse=" << static_cast<int>(rw.status)

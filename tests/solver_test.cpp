@@ -2,6 +2,7 @@
  * @file
  * Unit tests for the LP simplex and branch-and-bound MILP solvers.
  */
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -17,6 +18,7 @@
 #include "solver/model.hpp"
 #include "solver/presolve.hpp"
 #include "solver/simplex.hpp"
+#include "dense_oracle.hpp"
 
 namespace flex::solver {
 namespace {
@@ -704,9 +706,9 @@ TEST(PresolveTest, FixturesUnchangedByPresolve)
 
 TEST(SimplexTest, BothImplementationsSurviveBealeCycling)
 {
-  // Beale's cycling LP again, but explicitly on each implementation:
-  // the sparse path must hit its Bland's-rule fallback rather than spin
-  // to the iteration limit.
+  // Beale's cycling LP again, on the solver and on the dense test
+  // oracle: each must hit its Bland's-rule fallback rather than spin to
+  // the iteration limit.
   Model m;
   const VarIndex x1 = m.AddContinuous("x1", 0.0, 1e9, 0.75);
   const VarIndex x2 = m.AddContinuous("x2", 0.0, 1e9, -150.0);
@@ -717,11 +719,8 @@ TEST(SimplexTest, BothImplementationsSurviveBealeCycling)
   m.AddConstraint("r2", {{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
                   Relation::kLessEqual, 0.0);
   m.AddConstraint("r3", {{x3, 1.0}}, Relation::kLessEqual, 1.0);
-  for (const SimplexImpl impl : {SimplexImpl::kSparse, SimplexImpl::kDense}) {
-    SimplexSolver::Options options;
-    options.impl = impl;
-    const LpResult r = SimplexSolver(options).Solve(m);
-    ASSERT_TRUE(r.IsOptimal()) << "impl " << static_cast<int>(impl);
+  for (const LpResult& r : {SimplexSolver().Solve(m), DenseOracleSolve(m)}) {
+    ASSERT_TRUE(r.IsOptimal());
     EXPECT_NEAR(r.objective, 0.05, 1e-6);
   }
 }
@@ -755,38 +754,75 @@ TEST(SimplexTest, NearZeroCoefficientsAreNotPivotedOn)
 {
   // A 1e-13 coefficient sits below the pivot tolerance; the ratio test
   // must skip it instead of dividing by it and exploding the iterate.
-  for (const SimplexImpl impl : {SimplexImpl::kSparse, SimplexImpl::kDense}) {
-    SimplexSolver::Options options;
-    options.impl = impl;
-    {
-      Model m;
-      const VarIndex x = m.AddContinuous("x", 0.0, 10.0, 0.0);
-      const VarIndex y = m.AddContinuous("y", 0.0, 10.0, 1.0);
-      m.AddConstraint("tiny", {{x, 1e-13}, {y, 1.0}},
-                      Relation::kLessEqual, 1.0);
-      const LpResult r = SimplexSolver(options).Solve(m);
-      ASSERT_TRUE(r.IsOptimal()) << "impl " << static_cast<int>(impl);
-      EXPECT_NEAR(r.objective, 1.0, 1e-6);
-    }
-    {
-      Model m;
-      m.SetSense(Sense::kMinimize);
-      const VarIndex x = m.AddContinuous("x", 0.0, 10.0, 0.0);
-      const VarIndex y = m.AddContinuous("y", 0.0, 10.0, 1.0);
-      m.AddConstraint("tiny", {{x, 1e-13}, {y, 1.0}},
-                      Relation::kGreaterEqual, 1.0);
-      const LpResult r = SimplexSolver(options).Solve(m);
-      ASSERT_TRUE(r.IsOptimal()) << "impl " << static_cast<int>(impl);
+  // Checked on the solver and on the dense test oracle.
+  Model le;
+  {
+    const VarIndex x = le.AddContinuous("x", 0.0, 10.0, 0.0);
+    const VarIndex y = le.AddContinuous("y", 0.0, 10.0, 1.0);
+    le.AddConstraint("tiny", {{x, 1e-13}, {y, 1.0}}, Relation::kLessEqual,
+                     1.0);
+  }
+  Model ge;
+  ge.SetSense(Sense::kMinimize);
+  {
+    const VarIndex x = ge.AddContinuous("x", 0.0, 10.0, 0.0);
+    const VarIndex y = ge.AddContinuous("y", 0.0, 10.0, 1.0);
+    ge.AddConstraint("tiny", {{x, 1e-13}, {y, 1.0}}, Relation::kGreaterEqual,
+                     1.0);
+  }
+  for (const Model* m : {&le, &ge}) {
+    for (const LpResult& r :
+         {SimplexSolver().Solve(*m), DenseOracleSolve(*m)}) {
+      ASSERT_TRUE(r.IsOptimal());
       EXPECT_NEAR(r.objective, 1.0, 1e-6);
     }
   }
 }
 
-TEST(BranchAndBoundTest, DenseAndSparseLpBackendsAgreeOnStudyModel)
+TEST(BranchAndBoundTest, MatchesExhaustiveEnumerationOnSmallKnapsacks)
 {
-  // The full search on the 26-item study knapsack, once per LP backend.
-  // Objectives must agree to LP tolerance; the sparse run must also
-  // report factorization telemetry the dense run cannot produce.
+  // The full search on random 16-item knapsacks against the optimum
+  // found by enumerating every subset.
+  constexpr int kItems = 16;
+  constexpr double kCapacity = 20.0;
+  BranchAndBoundSolver::Options options;
+  options.threads = 1;
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(99 + seed);
+    Model m;
+    std::vector<double> value;
+    std::vector<double> weight;
+    std::vector<std::pair<VarIndex, double>> terms;
+    for (int i = 0; i < kItems; ++i) {
+      value.push_back(rng.Uniform(1.0, 9.0));
+      weight.push_back(rng.Uniform(1.0, 5.0));
+      terms.push_back({m.AddBinary("b", value.back()), weight.back()});
+    }
+    m.AddConstraint("cap", terms, Relation::kLessEqual, kCapacity);
+
+    double best = 0.0;
+    for (std::uint32_t subset = 0; subset < (1u << kItems); ++subset) {
+      double total_value = 0.0;
+      double total_weight = 0.0;
+      for (int i = 0; i < kItems; ++i) {
+        if (subset & (1u << i)) {
+          total_value += value[static_cast<std::size_t>(i)];
+          total_weight += weight[static_cast<std::size_t>(i)];
+        }
+      }
+      if (total_weight <= kCapacity)
+        best = std::max(best, total_value);
+    }
+
+    const MipResult result = BranchAndBoundSolver(options).Solve(m);
+    ASSERT_EQ(result.status, MipStatus::kOptimal);
+    EXPECT_NEAR(result.objective, best, 1e-9 * best);
+    EXPECT_TRUE(m.IsFeasible(result.x, 1e-6));
+  }
+
+  // The 26-item study knapsack: the search must run on the factorized
+  // LP path and report its telemetry.
   Rng rng(99);
   Model m;
   std::vector<std::pair<VarIndex, double>> terms;
@@ -795,23 +831,10 @@ TEST(BranchAndBoundTest, DenseAndSparseLpBackendsAgreeOnStudyModel)
     terms.push_back({v, rng.Uniform(1.0, 5.0)});
   }
   m.AddConstraint("cap", terms, Relation::kLessEqual, 20.0);
-
-  BranchAndBoundSolver::Options sparse_opts;
-  sparse_opts.threads = 1;
-  sparse_opts.lp.impl = SimplexImpl::kSparse;
-  BranchAndBoundSolver::Options dense_opts;
-  dense_opts.threads = 1;
-  dense_opts.lp.impl = SimplexImpl::kDense;
-  const MipResult sparse = BranchAndBoundSolver(sparse_opts).Solve(m);
-  const MipResult dense = BranchAndBoundSolver(dense_opts).Solve(m);
-  ASSERT_EQ(sparse.status, MipStatus::kOptimal);
-  ASSERT_EQ(dense.status, MipStatus::kOptimal);
-  EXPECT_NEAR(sparse.objective, dense.objective, 1e-9);
-  EXPECT_TRUE(m.IsFeasible(sparse.x, 1e-6));
-  EXPECT_TRUE(m.IsFeasible(dense.x, 1e-6));
-  EXPECT_GT(sparse.simplex_refactors, 0);
-  EXPECT_EQ(dense.simplex_refactors, 0);
-  EXPECT_EQ(dense.eta_updates, 0);
+  const MipResult study = BranchAndBoundSolver(options).Solve(m);
+  ASSERT_EQ(study.status, MipStatus::kOptimal);
+  EXPECT_TRUE(m.IsFeasible(study.x, 1e-6));
+  EXPECT_GT(study.simplex_refactors, 0);
 }
 
 TEST(BranchAndBoundTest, ParallelSolveBitIdenticalWithPresolveDisabled)
