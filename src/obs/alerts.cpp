@@ -1,57 +1,15 @@
 #include "obs/alerts.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/hash.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 
 namespace flex::obs {
 
-namespace {
-
-std::string
-Num(double value)
-{
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
-}
-
-std::string
-EscapeJson(const std::string& text)
-{
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using json::Num;
 
 const char*
 AlertSeverityName(AlertSeverity severity)
@@ -95,6 +53,20 @@ AlertStateName(AlertState state)
       return "firing";
   }
   return "unknown";
+}
+
+std::string
+AlertTransitionToJson(const AlertTransition& edge)
+{
+  std::string out = "{\"t\":" + Num(edge.t);
+  out += ",\"rule\":\"" + json::Escape(edge.rule) + "\"";
+  out += ",\"from\":\"";
+  out += AlertStateName(edge.from);
+  out += "\",\"to\":\"";
+  out += AlertStateName(edge.to);
+  out += "\",\"value\":" + Num(edge.value);
+  out += ",\"message\":\"" + json::Escape(edge.message) + "\"}";
+  return out;
 }
 
 AlertEngine::AlertEngine(const TimeSeriesStore* store,
@@ -334,16 +306,8 @@ std::string
 AlertEngine::TimelineJsonl() const
 {
   std::string out;
-  for (const AlertTransition& edge : timeline_) {
-    out += "{\"t\":" + Num(edge.t);
-    out += ",\"rule\":\"" + EscapeJson(edge.rule) + "\"";
-    out += ",\"from\":\"";
-    out += AlertStateName(edge.from);
-    out += "\",\"to\":\"";
-    out += AlertStateName(edge.to);
-    out += "\",\"value\":" + Num(edge.value);
-    out += ",\"message\":\"" + EscapeJson(edge.message) + "\"}\n";
-  }
+  for (const AlertTransition& edge : timeline_)
+    out += AlertTransitionToJson(edge) + "\n";
   return out;
 }
 

@@ -95,6 +95,12 @@ struct AlertTransition {
   std::string message;
 };
 
+/**
+ * One edge as a single-line JSON object (t, rule, from, to, value,
+ * message): the alerts.jsonl line and the /alerts history element.
+ */
+std::string AlertTransitionToJson(const AlertTransition& edge);
+
 /** Live state of one rule. */
 struct AlertStatus {
   AlertRule rule;

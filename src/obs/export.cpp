@@ -3,18 +3,13 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/json.hpp"
+
 namespace flex::obs {
 
 namespace {
 
-/** %.9g round-trips doubles we care about and stays compact. */
-std::string
-Num(double value)
-{
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
+using json::Num;
 
 std::string
 MetricJsonObject(const MetricRow& row)
@@ -39,34 +34,58 @@ MetricJsonObject(const MetricRow& row)
 }  // namespace
 
 std::string
-TraceToJson(const ReactionTrace& trace)
+ReactionTraceToJson(const ReactionTrace& trace)
 {
-  std::string out = "{";
-  out += "\"trace_id\":" + std::to_string(trace.id);
-  out += ",\"ups\":" + std::to_string(trace.ups_index);
+  std::string out = "{\"id\":" + std::to_string(trace.id);
   out += ",\"replica\":" + std::to_string(trace.detecting_replica);
-  out += ",\"complete\":" + std::string(trace.complete ? "true" : "false");
+  out += ",\"ups\":" + std::to_string(trace.ups_index);
   out += ",\"actions\":" + std::to_string(trace.actions);
-  out += ",\"duplicate_detections\":" +
-         std::to_string(trace.duplicate_detections);
-  out += ",\"duplicate_waves\":" + std::to_string(trace.duplicate_waves);
-  out += ",\"stages\":{";
-  out += "\"meter_sample\":" + Num(trace.sampled_at.value());
-  out += ",\"publish\":" + Num(trace.delivered_at.value());
-  out += ",\"observe\":" + Num(trace.detected_at.value());
-  if (trace.actions > 0)
-    out += ",\"decide\":" + Num(trace.decided_at.value());
-  if (trace.complete)
-    out += ",\"actuate\":" + Num(trace.enforced_at.value());
-  out += "}";
-  if (trace.complete) {
-    out += ",\"end_to_end_s\":" + Num(trace.EndToEnd().value());
-    out += ",\"budget_s\":" + Num(trace.budget.value());
-    out += ",\"within_budget\":" +
-           std::string(trace.WithinBudget() ? "true" : "false");
-  }
-  out += "}";
+  out += ",\"dup_detections\":" + std::to_string(trace.duplicate_detections);
+  out += ",\"dup_waves\":" + std::to_string(trace.duplicate_waves);
+  out += ",\"sampled_at\":" + Num(trace.sampled_at.value());
+  out += ",\"delivered_at\":" + Num(trace.delivered_at.value());
+  out += ",\"detected_at\":" + Num(trace.detected_at.value());
+  out += ",\"decided_at\":" + Num(trace.decided_at.value());
+  out += ",\"enforced_at\":" + Num(trace.enforced_at.value());
+  out += ",\"complete\":" + std::string(trace.complete ? "true" : "false");
+  out += ",\"closed\":" + std::string(trace.closed ? "true" : "false");
+  out += ",\"budget\":" + Num(trace.budget.value()) + "}";
   return out;
+}
+
+bool
+ParseReactionTraceJson(const std::string& line, ReactionTrace* out)
+{
+  ReactionTrace trace;
+  double sampled_at = 0.0;
+  double delivered_at = 0.0;
+  double detected_at = 0.0;
+  double decided_at = 0.0;
+  double enforced_at = 0.0;
+  double budget = 0.0;
+  if (!json::ReadInt(line, "id", &trace.id) ||
+      !json::ReadInt(line, "replica", &trace.detecting_replica) ||
+      !json::ReadInt(line, "ups", &trace.ups_index) ||
+      !json::ReadInt(line, "actions", &trace.actions) ||
+      !json::ReadInt(line, "dup_detections", &trace.duplicate_detections) ||
+      !json::ReadInt(line, "dup_waves", &trace.duplicate_waves) ||
+      !json::ReadNumber(line, "sampled_at", &sampled_at) ||
+      !json::ReadNumber(line, "delivered_at", &delivered_at) ||
+      !json::ReadNumber(line, "detected_at", &detected_at) ||
+      !json::ReadNumber(line, "decided_at", &decided_at) ||
+      !json::ReadNumber(line, "enforced_at", &enforced_at) ||
+      !json::ReadBool(line, "complete", &trace.complete) ||
+      !json::ReadBool(line, "closed", &trace.closed) ||
+      !json::ReadNumber(line, "budget", &budget))
+    return false;
+  trace.sampled_at = Seconds(sampled_at);
+  trace.delivered_at = Seconds(delivered_at);
+  trace.detected_at = Seconds(detected_at);
+  trace.decided_at = Seconds(decided_at);
+  trace.enforced_at = Seconds(enforced_at);
+  trace.budget = Seconds(budget);
+  *out = trace;
+  return true;
 }
 
 std::string
@@ -74,7 +93,7 @@ TracesToJsonl(const ReactionTracer& tracer)
 {
   std::string out;
   for (const ReactionTrace& trace : tracer.traces()) {
-    out += TraceToJson(trace);
+    out += ReactionTraceToJson(trace);
     out += '\n';
   }
   return out;
@@ -93,26 +112,6 @@ SnapshotToJson(const MetricsSnapshot& snapshot)
     out += "    \"" + row.name + "\": " + MetricJsonObject(row);
   }
   out += "\n  }\n}\n";
-  return out;
-}
-
-std::string
-SnapshotToCsv(const MetricsSnapshot& snapshot)
-{
-  std::string out = "name,kind,value,count,sum,min,max,p50,p99\n";
-  for (const MetricRow& row : snapshot.rows) {
-    out += row.name;
-    out += ',';
-    out += MetricKindName(row.kind);
-    if (row.kind == MetricKind::kHistogram) {
-      out += ",," + std::to_string(row.count) + ',' + Num(row.sum) + ',' +
-             Num(row.min) + ',' + Num(row.max) + ',' + Num(row.p50) + ',' +
-             Num(row.p99);
-    } else {
-      out += ',' + Num(row.value) + ",,,,,,";
-    }
-    out += '\n';
-  }
   return out;
 }
 

@@ -1,14 +1,13 @@
 /**
  * @file
- * Exporters: JSONL reaction traces, JSON/CSV metrics snapshots, and the
+ * Exporters: JSONL reaction traces, JSON metrics snapshots, and the
  * human-readable end-of-run summary table.
  *
  * The JSON metrics format is line-oriented — one metric object per line
  * in a fixed key order — so BENCH_*.json trajectory files stay diffable
  * across runs and shell tooling (scripts/check_budget.sh) can extract
- * values without a JSON parser. Numbers render with %.9g, which
- * round-trips the simulated-time doubles bit-identically for equal
- * seeds.
+ * values without a JSON parser. Numbers render through json::Num, which
+ * is bit-identical for equal seeds.
  */
 #ifndef FLEX_OBS_EXPORT_HPP_
 #define FLEX_OBS_EXPORT_HPP_
@@ -20,17 +19,23 @@
 
 namespace flex::obs {
 
-/** One reaction trace as a single-line JSON object. */
-std::string TraceToJson(const ReactionTrace& trace);
+/**
+ * One reaction trace as a single-line JSON object in a fixed key order:
+ * id, replica, ups, actions, dup_detections, dup_waves, the five stage
+ * timestamps (sampled_at, delivered_at, detected_at, decided_at,
+ * enforced_at), complete, closed, budget. The line format of
+ * traces.jsonl and of the /trace array.
+ */
+std::string ReactionTraceToJson(const ReactionTrace& trace);
 
-/** Every trace, one JSON object per line (JSONL). */
+/** Parses a ReactionTraceToJson line; false on malformed input. */
+bool ParseReactionTraceJson(const std::string& line, ReactionTrace* out);
+
+/** Every trace, one ReactionTraceToJson line each (JSONL). */
 std::string TracesToJsonl(const ReactionTracer& tracer);
 
 /** Pretty multi-line JSON: snapshot header + one metric per line. */
 std::string SnapshotToJson(const MetricsSnapshot& snapshot);
-
-/** CSV with a fixed header: name,kind,value,count,sum,min,max,p50,p99. */
-std::string SnapshotToCsv(const MetricsSnapshot& snapshot);
 
 /**
  * One compact JSON object (single line) tagging the snapshot with a

@@ -144,8 +144,8 @@ struct RecordDivergence {
  * (e.g. a replay's), aligned by sequence number. Records in @p actual
  * with sequences outside @p expected's range are ignored — a replay
  * with a larger ring legitimately retains more history. Doubles are
- * compared through the exporter's %.9g formatting so a timeline that
- * went through one serialize/parse round trip compares clean.
+ * compared through the exporter's json::Num formatting so a timeline
+ * that went through one serialize/parse round trip compares clean.
  */
 std::optional<RecordDivergence> FirstDivergence(
     const std::vector<FlightRecord>& expected,

@@ -1,150 +1,16 @@
 #include "forensics.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 
 namespace flex::obs {
 
 namespace {
-
-/** %.9g, matching the metric exporters' number formatting. */
-std::string
-Num(double value)
-{
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
-
-std::string
-EscapeJson(const std::string& text)
-{
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::size_t
-ValueOffset(const std::string& json, const char* key)
-{
-  const std::string needle = std::string("\"") + key + "\":";
-  std::size_t at = json.find(needle);
-  if (at == std::string::npos)
-    return std::string::npos;
-  at += needle.size();
-  // The manifest is pretty-printed with a space after each colon.
-  while (at < json.size() && (json[at] == ' ' || json[at] == '\t'))
-    ++at;
-  return at;
-}
-
-bool
-ParseNumberField(const std::string& json, const char* key, double* out)
-{
-  const std::size_t at = ValueOffset(json, key);
-  if (at == std::string::npos)
-    return false;
-  char* end = nullptr;
-  const double value = std::strtod(json.c_str() + at, &end);
-  if (end == json.c_str() + at)
-    return false;
-  *out = value;
-  return true;
-}
-
-bool
-ParseStringField(const std::string& json, const char* key, std::string* out)
-{
-  std::size_t at = ValueOffset(json, key);
-  if (at == std::string::npos || at >= json.size() || json[at] != '"')
-    return false;
-  ++at;
-  std::string value;
-  while (at < json.size() && json[at] != '"') {
-    char c = json[at];
-    if (c == '\\' && at + 1 < json.size()) {
-      const char next = json[at + 1];
-      switch (next) {
-        case 'n':
-          c = '\n';
-          break;
-        case 't':
-          c = '\t';
-          break;
-        case 'r':
-          c = '\r';
-          break;
-        case 'u': {
-          if (at + 5 >= json.size())
-            return false;
-          const std::string hex = json.substr(at + 2, 4);
-          c = static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-          at += 4;
-          break;
-        }
-        default:
-          c = next;
-      }
-      ++at;
-    }
-    value += c;
-    ++at;
-  }
-  if (at >= json.size())
-    return false;
-  *out = std::move(value);
-  return true;
-}
-
-bool
-ParseBoolField(const std::string& json, const char* key, bool* out)
-{
-  const std::size_t at = ValueOffset(json, key);
-  if (at == std::string::npos)
-    return false;
-  if (json.compare(at, 4, "true") == 0) {
-    *out = true;
-    return true;
-  }
-  if (json.compare(at, 5, "false") == 0) {
-    *out = false;
-    return true;
-  }
-  return false;
-}
 
 bool
 ReadFile(const std::string& path, std::string* out)
@@ -177,11 +43,11 @@ ManifestJson(const BundleSpec& spec)
   }
   std::string out = "{\n";
   out += "  \"format\": \"" + std::string(kBundleFormat) + "\",\n";
-  out += "  \"trigger\": \"" + EscapeJson(spec.trigger) + "\",\n";
-  out += "  \"scenario\": \"" + EscapeJson(spec.scenario) + "\",\n";
+  out += "  \"trigger\": \"" + json::Escape(spec.trigger) + "\",\n";
+  out += "  \"scenario\": \"" + json::Escape(spec.scenario) + "\",\n";
   out += "  \"seed\": " + std::to_string(spec.seed) + ",\n";
-  out += "  \"sim_time_s\": " + Num(spec.sim_time_s) + ",\n";
-  out += "  \"horizon_s\": " + Num(spec.horizon_s) + ",\n";
+  out += "  \"sim_time_s\": " + json::Num(spec.sim_time_s) + ",\n";
+  out += "  \"horizon_s\": " + json::Num(spec.horizon_s) + ",\n";
   out += std::string("  \"replayable\": ") +
          (spec.replayable ? "true" : "false") + ",\n";
   out += "  \"first_sequence\": " + std::to_string(first_sequence) + ",\n";
@@ -191,7 +57,7 @@ ManifestJson(const BundleSpec& spec)
   for (std::size_t i = 0; i < spec.notes.size(); ++i) {
     if (i > 0)
       out += ", ";
-    out += "\"" + EscapeJson(spec.notes[i]) + "\"";
+    out += "\"" + json::Escape(spec.notes[i]) + "\"";
   }
   out += "]\n}\n";
   return out;
@@ -257,58 +123,25 @@ LoadBundleManifest(const std::string& dir, BundleManifest* out,
 {
   const std::string path =
       (std::filesystem::path(dir) / "manifest.json").string();
-  std::string json;
-  if (!ReadFile(path, &json))
+  std::string text;
+  if (!ReadFile(path, &text))
     return Fail(error, "cannot read " + path);
 
   BundleManifest manifest;
-  if (!ParseStringField(json, "format", &manifest.format))
+  if (!json::ReadString(text, "format", &manifest.format))
     return Fail(error, path + ": missing format field");
   if (manifest.format != kBundleFormat)
     return Fail(error, path + ": unsupported format '" + manifest.format + "'");
-  ParseStringField(json, "trigger", &manifest.trigger);
-  ParseStringField(json, "scenario", &manifest.scenario);
-  double number = 0.0;
-  if (ParseNumberField(json, "seed", &number))
-    manifest.seed = static_cast<std::uint64_t>(number);
-  ParseNumberField(json, "sim_time_s", &manifest.sim_time_s);
-  ParseNumberField(json, "horizon_s", &manifest.horizon_s);
-  ParseBoolField(json, "replayable", &manifest.replayable);
-  if (ParseNumberField(json, "first_sequence", &number))
-    manifest.first_sequence = static_cast<std::uint64_t>(number);
-  if (ParseNumberField(json, "last_sequence", &number))
-    manifest.last_sequence = static_cast<std::uint64_t>(number);
-  if (ParseNumberField(json, "num_records", &number))
-    manifest.num_records = static_cast<std::uint64_t>(number);
-
-  // Notes: each array element is a JSON string. Walk the array tracking
-  // string state rather than find()ing ']' — violation notes carry tags
-  // like "[ups-trip]" whose ']' would otherwise end the array early.
-  std::size_t at = ValueOffset(json, "notes");
-  if (at != std::string::npos)
-    at = json.find('[', at);
-  if (at != std::string::npos) {
-    ++at;
-    while (at < json.size() && json[at] != ']') {
-      if (json[at] != '"') {
-        ++at;  // whitespace or the comma between elements
-        continue;
-      }
-      std::size_t end = at + 1;  // find the unescaped closing quote
-      while (end < json.size() && json[end] != '"')
-        end += (json[end] == '\\') ? 2 : 1;
-      if (end >= json.size())
-        break;
-      // Reuse the string parser by synthesizing a key-value fragment.
-      const std::string fragment =
-          "\"note\":" + json.substr(at, end - at + 1);
-      std::string note;
-      if (!ParseStringField(fragment, "note", &note))
-        break;
-      manifest.notes.push_back(note);
-      at = end + 1;
-    }
-  }
+  json::ReadString(text, "trigger", &manifest.trigger);
+  json::ReadString(text, "scenario", &manifest.scenario);
+  json::ReadInt(text, "seed", &manifest.seed);
+  json::ReadNumber(text, "sim_time_s", &manifest.sim_time_s);
+  json::ReadNumber(text, "horizon_s", &manifest.horizon_s);
+  json::ReadBool(text, "replayable", &manifest.replayable);
+  json::ReadInt(text, "first_sequence", &manifest.first_sequence);
+  json::ReadInt(text, "last_sequence", &manifest.last_sequence);
+  json::ReadInt(text, "num_records", &manifest.num_records);
+  json::ReadStringArray(text, "notes", &manifest.notes);
 
   *out = std::move(manifest);
   return true;

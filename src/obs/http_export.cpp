@@ -1,29 +1,18 @@
 #include "http_export.hpp"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/thread_pool.hpp"
+#include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 
 namespace flex::obs {
 
 namespace {
 
-/**
- * Shortest round-trippable formatting shared with the flight-recorder
- * JSONL exporter, so numbers compare clean across a serialize/parse
- * cycle.
- */
-std::string
-Num(double value)
-{
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
+using json::Num;
 
 /** Prometheus label-value escaping: backslash, double quote, newline. */
 std::string
@@ -47,84 +36,6 @@ EscapeLabelValue(const std::string& value)
     }
   }
   return out;
-}
-
-/** JSON string escaping (mirrors the flight-recorder idiom). */
-std::string
-EscapeJson(const std::string& text)
-{
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/** Finds `"key":` in a single-line JSON object; npos when absent. */
-std::size_t
-FindKey(const std::string& line, const char* key)
-{
-  const std::string needle = std::string("\"") + key + "\":";
-  return line.find(needle);
-}
-
-bool
-ParseNumberField(const std::string& line, const char* key, double* out)
-{
-  const std::size_t at = FindKey(line, key);
-  if (at == std::string::npos)
-    return false;
-  const std::size_t start = at + std::strlen(key) + 3;
-  char* end = nullptr;
-  const double value = std::strtod(line.c_str() + start, &end);
-  if (end == line.c_str() + start)
-    return false;
-  *out = value;
-  return true;
-}
-
-bool
-ParseBoolField(const std::string& line, const char* key, bool* out)
-{
-  const std::size_t at = FindKey(line, key);
-  if (at == std::string::npos)
-    return false;
-  const std::size_t start = at + std::strlen(key) + 3;
-  if (line.compare(start, 4, "true") == 0) {
-    *out = true;
-    return true;
-  }
-  if (line.compare(start, 5, "false") == 0) {
-    *out = false;
-    return true;
-  }
-  return false;
 }
 
 /**
@@ -320,76 +231,6 @@ SnapshotToPrometheus(const MetricsSnapshot& snapshot)
     }
   }
   return out.str();
-}
-
-std::string
-ReactionTraceToJson(const ReactionTrace& trace)
-{
-  std::ostringstream out;
-  out << "{\"id\":" << trace.id
-      << ",\"replica\":" << trace.detecting_replica
-      << ",\"ups\":" << trace.ups_index
-      << ",\"actions\":" << trace.actions
-      << ",\"dup_detections\":" << trace.duplicate_detections
-      << ",\"dup_waves\":" << trace.duplicate_waves
-      << ",\"sampled_at\":" << Num(trace.sampled_at.value())
-      << ",\"delivered_at\":" << Num(trace.delivered_at.value())
-      << ",\"detected_at\":" << Num(trace.detected_at.value())
-      << ",\"decided_at\":" << Num(trace.decided_at.value())
-      << ",\"enforced_at\":" << Num(trace.enforced_at.value())
-      << ",\"complete\":" << (trace.complete ? "true" : "false")
-      << ",\"closed\":" << (trace.closed ? "true" : "false")
-      << ",\"budget\":" << Num(trace.budget.value()) << "}";
-  return out.str();
-}
-
-bool
-ParseReactionTraceJson(const std::string& line, ReactionTrace* out)
-{
-  ReactionTrace trace;
-  double number = 0.0;
-  if (!ParseNumberField(line, "id", &number))
-    return false;
-  trace.id = static_cast<std::uint64_t>(number);
-  if (!ParseNumberField(line, "replica", &number))
-    return false;
-  trace.detecting_replica = static_cast<int>(number);
-  if (!ParseNumberField(line, "ups", &number))
-    return false;
-  trace.ups_index = static_cast<int>(number);
-  if (!ParseNumberField(line, "actions", &number))
-    return false;
-  trace.actions = static_cast<int>(number);
-  if (!ParseNumberField(line, "dup_detections", &number))
-    return false;
-  trace.duplicate_detections = static_cast<int>(number);
-  if (!ParseNumberField(line, "dup_waves", &number))
-    return false;
-  trace.duplicate_waves = static_cast<int>(number);
-  if (!ParseNumberField(line, "sampled_at", &number))
-    return false;
-  trace.sampled_at = Seconds(number);
-  if (!ParseNumberField(line, "delivered_at", &number))
-    return false;
-  trace.delivered_at = Seconds(number);
-  if (!ParseNumberField(line, "detected_at", &number))
-    return false;
-  trace.detected_at = Seconds(number);
-  if (!ParseNumberField(line, "decided_at", &number))
-    return false;
-  trace.decided_at = Seconds(number);
-  if (!ParseNumberField(line, "enforced_at", &number))
-    return false;
-  trace.enforced_at = Seconds(number);
-  if (!ParseBoolField(line, "complete", &trace.complete))
-    return false;
-  if (!ParseBoolField(line, "closed", &trace.closed))
-    return false;
-  if (!ParseNumberField(line, "budget", &number))
-    return false;
-  trace.budget = Seconds(number);
-  *out = trace;
-  return true;
 }
 
 bool
@@ -620,7 +461,7 @@ ObservabilityServer::RenderHealth(int* http_status) const
   out << "{\"ok\":" << (ok ? "true" : "false")
       << ",\"sim_time_seconds\":" << Num(health.sim_time_seconds)
       << ",\"violations\":" << health.violations
-      << ",\"detail\":\"" << EscapeJson(health.detail) << "\""
+      << ",\"detail\":\"" << json::Escape(health.detail) << "\""
       << ",\"stalled\":" << (stalled ? "true" : "false")
       << ",\"alerts_firing\":" << alerts.firing
       << ",\"alerts_pending\":" << alerts.pending
@@ -630,14 +471,14 @@ ObservabilityServer::RenderHealth(int* http_status) const
       << "\"";
   if (watchdog_ != nullptr) {
     out << ",\"forensic_hint\":\""
-        << EscapeJson(watchdog_->forensic_hint()) << "\"";
+        << json::Escape(watchdog_->forensic_hint()) << "\"";
     out << ",\"threads\":[";
     bool first = true;
     for (const auto& thread : watchdog_->SnapshotThreads()) {
       if (!first)
         out << ",";
       first = false;
-      out << "{\"name\":\"" << EscapeJson(thread.name) << "\""
+      out << "{\"name\":\"" << json::Escape(thread.name) << "\""
           << ",\"silent_seconds\":" << Num(thread.silent_seconds)
           << ",\"stalled\":" << (thread.stalled ? "true" : "false")
           << ",\"done\":" << (thread.done ? "true" : "false")
@@ -686,27 +527,22 @@ ObservabilityServer::RenderAlerts() const
     const AlertStatus& status = alerts.statuses[i];
     if (i > 0)
       out << ",";
-    out << "\n {\"name\":\"" << EscapeJson(status.rule.name) << "\""
+    out << "\n {\"name\":\"" << json::Escape(status.rule.name) << "\""
         << ",\"severity\":\"" << AlertSeverityName(status.rule.severity)
         << "\",\"kind\":\"" << AlertRuleKindName(status.rule.kind)
-        << "\",\"metric\":\"" << EscapeJson(status.rule.metric)
+        << "\",\"metric\":\"" << json::Escape(status.rule.metric)
         << "\",\"state\":\"" << AlertStateName(status.state)
         << "\",\"since_s\":" << Num(status.since_s)
         << ",\"last_value\":" << Num(status.last_value)
         << ",\"fire_count\":" << status.fire_count
-        << ",\"description\":\"" << EscapeJson(status.rule.description)
+        << ",\"description\":\"" << json::Escape(status.rule.description)
         << "\"}";
   }
   out << "],\"history\":[";
   for (std::size_t i = 0; i < alerts.timeline.size(); ++i) {
-    const AlertTransition& edge = alerts.timeline[i];
     if (i > 0)
       out << ",";
-    out << "\n {\"t\":" << Num(edge.t) << ",\"rule\":\""
-        << EscapeJson(edge.rule) << "\",\"from\":\""
-        << AlertStateName(edge.from) << "\",\"to\":\""
-        << AlertStateName(edge.to) << "\",\"value\":" << Num(edge.value)
-        << ",\"message\":\"" << EscapeJson(edge.message) << "\"}";
+    out << "\n " << AlertTransitionToJson(alerts.timeline[i]);
   }
   out << "]}\n";
   return out.str();
@@ -722,13 +558,13 @@ ObservabilityServer::RenderQuery(const std::string& metric, double window_s,
   if (found == nullptr) {
     if (http_status != nullptr)
       *http_status = 404;
-    return "{\"error\":\"unknown metric: " + EscapeJson(metric) + "\"}\n";
+    return "{\"error\":\"unknown metric: " + json::Escape(metric) + "\"}\n";
   }
   if (http_status != nullptr)
     *http_status = 200;
 
   std::ostringstream out;
-  out << "{\"metric\":\"" << EscapeJson(metric) << "\",\"kind\":\""
+  out << "{\"metric\":\"" << json::Escape(metric) << "\",\"kind\":\""
       << MetricKindName(found->kind) << "\",\"window\":" << Num(window_s);
   if (resolution_s <= 0.0 || found->tiers.empty()) {
     // Raw points. The published snapshot holds the full retained ring;

@@ -25,7 +25,8 @@
  *               flex_build_info series carrying run-info labels.
  *   /healthz  - JSON health rollup (published invariant status +
  *               watchdog state); HTTP 503 when unhealthy or stalled.
- *   /trace    - last-N reaction episodes as a JSON array.
+ *   /trace    - last-N reaction episodes as a JSON array of
+ *               ReactionTraceToJson objects (the traces.jsonl lines).
  *   /recorder - flight-recorder tail snapshot as JSONL.
  *   /alerts   - alert-engine state + recent transition history (JSON).
  *   /query    - ?metric=&window=&res= time-series reads from the last
@@ -127,12 +128,6 @@ std::string PrometheusName(const std::string& name);
  * used headless by exporters and tests.
  */
 std::string SnapshotToPrometheus(const MetricsSnapshot& snapshot);
-
-/** One reaction trace as a single-line JSON object (stable key order). */
-std::string ReactionTraceToJson(const ReactionTrace& trace);
-
-/** Parses a ReactionTraceToJson line; false on malformed input. */
-bool ParseReactionTraceJson(const std::string& line, ReactionTrace* out);
 
 /** Server tuning. */
 struct ObservabilityServerConfig {

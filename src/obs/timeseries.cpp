@@ -2,23 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/hash.hpp"
+#include "obs/json.hpp"
 
 namespace flex::obs {
 
-namespace {
-
-std::string
-Num(double value)
-{
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
-}
-
-}  // namespace
+using json::Num;
 
 const SeriesSnapshot*
 TimeSeriesSnapshot::Find(const std::string& name) const

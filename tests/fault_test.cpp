@@ -6,6 +6,7 @@
  * forensic-bundle dump/replay loop built on top of them.
  */
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -16,13 +17,17 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fault/fault_fuzzer.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/forensics.hpp"
 #include "fault/invariant_monitor.hpp"
 #include "fault/scenario.hpp"
+#include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/forensics.hpp"
+#include "obs/http_export.hpp"
 
 namespace flex::fault {
 namespace {
@@ -437,7 +442,9 @@ InducedViolationPlan()
   return plan;
 }
 
-TEST(FaultForensicsTest, PlanJsonlRoundTripIsExact)
+/** Plan inputs whose doubles need all 17 digits to survive a round trip. */
+FaultPlan
+RoundTripPlan()
 {
   FaultPlan plan;
   plan.Add(MakeEvent(81.16920958214399, FaultKind::kUpsFailover, 1,
@@ -447,7 +454,12 @@ TEST(FaultForensicsTest, PlanJsonlRoundTripIsExact)
   meter.device_kind = DeviceKind::kRack;
   meter.meter_index = 1;
   plan.Add(meter);
+  return plan;
+}
 
+TEST(FaultForensicsTest, PlanJsonlRoundTripIsExact)
+{
+  const FaultPlan plan = RoundTripPlan();
   FaultPlan parsed;
   std::string error;
   ASSERT_TRUE(ParseFaultPlanJsonl(FaultPlanToJsonl(plan), &parsed, &error))
@@ -465,6 +477,46 @@ TEST(FaultForensicsTest, PlanJsonlRoundTripIsExact)
     EXPECT_EQ(a.meter_index, b.meter_index);
     EXPECT_EQ(a.magnitude, b.magnitude);
     EXPECT_EQ(a.duration.value(), b.duration.value());
+  }
+}
+
+TEST(FaultForensicsTest, PlanJsonlRejectsFieldsOutsideTheirDomain)
+{
+  // One event line; each edit makes exactly one field invalid. An
+  // unchecked parser casts 1e300 to int (undefined), hands device kind
+  // 7 to the telemetry layer as a rack, or replays a fault at t=inf.
+  const std::string line =
+      "{\"at\":12.25,\"kind\":6,\"target\":0,\"device_kind\":1,"
+      "\"meter_index\":1,\"magnitude\":0.75,\"duration\":30}";
+  FaultPlan parsed;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlanJsonl(line + "\n", &parsed, &error)) << error;
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed.events()[0].device_kind, DeviceKind::kRack);
+
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"\"target\":0", "\"target\":1e300"},
+      {"\"target\":0", "\"target\":-2147483649"},
+      {"\"target\":0", "\"target\":0.5"},
+      {"\"meter_index\":1", "\"meter_index\":nan"},
+      {"\"kind\":6", "\"kind\":6.5"},
+      {"\"kind\":6", "\"kind\":11"},
+      {"\"device_kind\":1", "\"device_kind\":7"},
+      {"\"device_kind\":1", "\"device_kind\":-1"},
+      {"\"at\":12.25", "\"at\":inf"},
+      {"\"at\":12.25", "\"at\":nan"},
+      {"\"magnitude\":0.75", "\"magnitude\":-inf"},
+      {"\"duration\":30", "\"duration\":nan"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string bad = line;
+    const std::size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, from.size(), to);
+    error.clear();
+    EXPECT_FALSE(ParseFaultPlanJsonl("\n" + bad + "\n", &parsed, &error))
+        << bad;
+    EXPECT_EQ(error, "malformed fault event at line 2") << bad;
   }
 }
 
@@ -528,6 +580,278 @@ TEST(FaultForensicsTest, PerturbedBundleRecordIsReportedAsDivergence)
       << "perturbed record went undetected";
   EXPECT_EQ(replay.divergence->sequence, records[victim].sequence);
   EXPECT_EQ(replay.divergence->field, "value");
+}
+
+// ---------------------------------------------------------------------------
+// Parser mutation sweep: every parser behind the obs JSON codec, fed
+// mutated copies of the round-trip fixtures. The contract: each call
+// answers true or false; nothing throws, and under ASan/UBSan nothing
+// reads out of bounds or casts out of range.
+// ---------------------------------------------------------------------------
+
+/**
+ * Seeded byte-level mutator: bit flips, truncation, splices from another
+ * corpus entry, repeated slices, and oversize or hostile tokens. A fixed
+ * seed makes every failing input reproducible.
+ */
+class Mutator {
+ public:
+  Mutator(std::vector<std::string> corpus, std::uint64_t seed)
+      : corpus_(std::move(corpus)), rng_(seed)
+  {
+  }
+
+  /** A corpus entry with one to four mutations applied. */
+  std::string
+  Next()
+  {
+    std::string out = corpus_[Index(corpus_.size())];
+    const int rounds = static_cast<int>(rng_.UniformInt(1, 4));
+    for (int i = 0; i < rounds; ++i)
+      Mutate(&out);
+    return out;
+  }
+
+ private:
+  std::size_t
+  Index(std::size_t size)
+  {
+    return static_cast<std::size_t>(
+        rng_.UniformInt(0, static_cast<std::int64_t>(size) - 1));
+  }
+
+  /** A position in [0, size]: insertion points include the end. */
+  std::size_t
+  Position(const std::string& text)
+  {
+    return Index(text.size() + 1);
+  }
+
+  void
+  Mutate(std::string* text)
+  {
+    static const std::vector<std::string> kTokens = {
+        "-1", "1e300", "-2147483649", "18446744073709551616", "nan", "inf",
+        "0.5", "0x1p4", "\"", "\\", "\\u00", "\\u", "[", "]", ",", ":",
+        "\"seq\":", "\"id\":", "\"kind\":", "\"notes\": [", "\n", "&", "=",
+        std::string(4096, '9'), "\"" + std::string(4096, 'x'),
+        std::string(1024, '\\'), std::string(256, '\n'),
+    };
+    switch (rng_.UniformInt(0, 4)) {
+      case 0:  // bit flip
+        if (!text->empty())
+          (*text)[Index(text->size())] ^=
+              static_cast<char>(1 << rng_.UniformInt(0, 7));
+        break;
+      case 1:  // truncation
+        text->resize(Position(*text));
+        break;
+      case 2: {  // splice: this prefix + another entry's suffix
+        const std::string& other = corpus_[Index(corpus_.size())];
+        *text = text->substr(0, Position(*text)) +
+                other.substr(Position(other));
+        break;
+      }
+      case 3: {  // repeat a slice in place
+        const std::size_t begin = Position(*text);
+        const std::size_t length = Index(text->size() - begin + 1);
+        const std::string slice = text->substr(begin, length);
+        const int copies = static_cast<int>(rng_.UniformInt(1, 8));
+        for (int i = 0; i < copies; ++i)
+          text->insert(begin, slice);
+        break;
+      }
+      default:  // oversize or hostile token
+        text->insert(Position(*text), kTokens[Index(kTokens.size())]);
+    }
+  }
+
+  std::vector<std::string> corpus_;
+  Rng rng_;
+};
+
+constexpr std::uint64_t kMutationSeed = 0x5EED0F1A5u;
+constexpr int kMutations = 5000;
+
+std::vector<obs::FlightRecord>
+FixtureRecords()
+{
+  obs::FlightRecorder recorder(obs::RecorderConfig{8});
+  recorder.Record(Seconds(1.0), obs::RecordKind::kMeterSample, 0, 1, 150e3);
+  recorder.Record(Seconds(2.0), obs::RecordKind::kRackCommand, 5, 0, 25e3);
+  recorder.Record(Seconds(12.25), obs::RecordKind::kViolation, 3, -1, 0.125,
+                  "say \"no\"\\path\nline2\ttab [ups-trip]");
+  return recorder.Records();
+}
+
+obs::ReactionTrace
+FixtureTrace()
+{
+  obs::ReactionTrace trace;
+  trace.id = 7;
+  trace.detecting_replica = 2;
+  trace.ups_index = 1;
+  trace.actions = 42;
+  trace.sampled_at = Seconds(12.25);
+  trace.delivered_at = Seconds(12.5);
+  trace.detected_at = Seconds(12.625);
+  trace.decided_at = Seconds(12.75);
+  trace.enforced_at = Seconds(13.125);
+  trace.complete = true;
+  trace.budget = Seconds(10.0);
+  return trace;
+}
+
+TEST(ParserMutationTest, RecorderJsonlAnswersEveryMutation)
+{
+  const std::vector<obs::FlightRecord> records = FixtureRecords();
+  std::vector<std::string> corpus = {obs::RecordsToJsonl(records)};
+  for (const obs::FlightRecord& record : records)
+    corpus.push_back(obs::RecordToJson(record));
+  Mutator mutator(corpus, kMutationSeed);
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string input = mutator.Next();
+    std::vector<obs::FlightRecord> parsed;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = obs::ParseRecordsJsonl(input, &parsed, &error))
+        << input;
+    if (!ok)
+      continue;
+    ++accepted;
+    // Whatever was accepted re-encodes to a timeline that parses again.
+    std::vector<obs::FlightRecord> again;
+    EXPECT_TRUE(obs::ParseRecordsJsonl(obs::RecordsToJsonl(parsed), &again,
+                                       &error))
+        << input;
+    EXPECT_EQ(again.size(), parsed.size());
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutations);
+}
+
+TEST(ParserMutationTest, FaultPlanJsonlAnswersEveryMutation)
+{
+  const std::string jsonl = FaultPlanToJsonl(RoundTripPlan());
+  Mutator mutator({jsonl, jsonl.substr(0, jsonl.find('\n') + 1)},
+                  kMutationSeed);
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string input = mutator.Next();
+    FaultPlan parsed;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = ParseFaultPlanJsonl(input, &parsed, &error))
+        << input;
+    if (!ok)
+      continue;
+    ++accepted;
+    FaultPlan again;
+    EXPECT_TRUE(ParseFaultPlanJsonl(FaultPlanToJsonl(parsed), &again, &error))
+        << input;
+    EXPECT_EQ(again.size(), parsed.size());
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutations);
+}
+
+TEST(ParserMutationTest, ReactionTraceJsonAnswersEveryMutation)
+{
+  obs::ReactionTrace open_trace = FixtureTrace();
+  open_trace.id = 8;
+  open_trace.complete = false;
+  open_trace.closed = true;
+  Mutator mutator({obs::ReactionTraceToJson(FixtureTrace()),
+                   obs::ReactionTraceToJson(open_trace)},
+                  kMutationSeed);
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string input = mutator.Next();
+    obs::ReactionTrace parsed;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = obs::ParseReactionTraceJson(input, &parsed))
+        << input;
+    if (!ok)
+      continue;
+    ++accepted;
+    obs::ReactionTrace again;
+    EXPECT_TRUE(
+        obs::ParseReactionTraceJson(obs::ReactionTraceToJson(parsed), &again))
+        << input;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutations);
+}
+
+TEST(ParserMutationTest, HttpQueryParamAnswersEveryMutation)
+{
+  Mutator mutator({"metric=unit.level&window=20&res=30", "metric=",
+                   "metric", "window=60&&metric=a.b&res"},
+                  kMutationSeed);
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string input = mutator.Next();
+    for (const char* key : {"metric", "window", "res", ""}) {
+      std::string value;
+      bool ok = false;
+      ASSERT_NO_THROW(ok = obs::HttpQueryParam(input, key, &value)) << input;
+      if (ok) {
+        EXPECT_LE(value.size(), input.size());
+      }
+    }
+  }
+}
+
+TEST(ParserMutationTest, ForensicBundleLoaderAnswersEveryMutation)
+{
+  obs::BundleSpec spec;
+  spec.trigger = "invariant-violation";
+  spec.scenario = "fault-fuzz";
+  spec.seed = 777;
+  spec.sim_time_s = 12.25;
+  spec.horizon_s = 120.0;
+  spec.replayable = true;
+  spec.records = FixtureRecords();
+  spec.fault_plan_jsonl = FaultPlanToJsonl(RoundTripPlan());
+  spec.notes = {"t=2 [ups-trip] \"quoted\" detail", "second note"};
+  const std::string dir = obs::UniqueBundleDir(
+      ::testing::TempDir(), "fault-test-mutated-bundle");
+  std::string error;
+  ASSERT_TRUE(obs::WriteForensicBundle(dir, spec, &error)) << error;
+
+  const char* const kFiles[] = {"manifest.json", "events.jsonl",
+                                "fault_plan.jsonl"};
+  std::vector<std::string> originals;
+  for (const char* name : kFiles) {
+    std::ifstream in(dir + "/" + name);
+    std::ostringstream raw;
+    raw << in.rdbuf();
+    originals.push_back(raw.str());
+  }
+  obs::LoadedBundle bundle;
+  ASSERT_TRUE(obs::LoadForensicBundle(dir, &bundle, &error)) << error;
+  EXPECT_EQ(bundle.manifest.notes, spec.notes);
+
+  // One file at a time, so most loads get past the manifest and reach
+  // the timeline; the corpus holds all three files' contents.
+  Mutator mutator(originals, kMutationSeed);
+  Rng pick(kMutationSeed + 1);
+  for (int i = 0; i < kMutations / 8; ++i) {
+    const std::size_t victim =
+        static_cast<std::size_t>(pick.UniformInt(0, 2));
+    for (std::size_t f = 0; f < originals.size(); ++f) {
+      std::ofstream out(dir + "/" + kFiles[f], std::ios::trunc);
+      out << (f == victim ? mutator.Next() : originals[f]);
+    }
+    bool ok = false;
+    ASSERT_NO_THROW(ok = obs::LoadForensicBundle(dir, &bundle, &error));
+    if (!ok) {
+      EXPECT_FALSE(error.empty());
+      continue;
+    }
+    FaultPlan plan;
+    ASSERT_NO_THROW(ParseFaultPlanJsonl(bundle.fault_plan_jsonl, &plan));
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -26,6 +27,7 @@
 #include "emulation/room_emulation.hpp"
 #include "emulation/sweep.hpp"
 #include "obs/alerts.hpp"
+#include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/http_export.hpp"
 #include "obs/http_server.hpp"
@@ -397,8 +399,17 @@ TEST(TraceJsonTest, RoundTripsEveryField)
   trace.closed = false;
   trace.budget = Seconds(10.0);
 
+  // One fixed key order, one line: the traces.jsonl and /trace format.
+  const std::string line = ReactionTraceToJson(trace);
+  EXPECT_EQ(line,
+            "{\"id\":7,\"replica\":2,\"ups\":1,\"actions\":42,"
+            "\"dup_detections\":3,\"dup_waves\":1,\"sampled_at\":12.25,"
+            "\"delivered_at\":12.5,\"detected_at\":12.625,"
+            "\"decided_at\":12.75,\"enforced_at\":13.125,"
+            "\"complete\":true,\"closed\":false,\"budget\":10}");
+
   ReactionTrace parsed;
-  ASSERT_TRUE(ParseReactionTraceJson(ReactionTraceToJson(trace), &parsed));
+  ASSERT_TRUE(ParseReactionTraceJson(line, &parsed));
   EXPECT_EQ(parsed.id, trace.id);
   EXPECT_EQ(parsed.detecting_replica, trace.detecting_replica);
   EXPECT_EQ(parsed.ups_index, trace.ups_index);
@@ -417,6 +428,28 @@ TEST(TraceJsonTest, RoundTripsEveryField)
   ReactionTrace bad;
   EXPECT_FALSE(ParseReactionTraceJson("{\"id\":1}", &bad));
   EXPECT_FALSE(ParseReactionTraceJson("not json", &bad));
+
+  // Integer fields must fit their type; a cast of these is undefined.
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"\"id\":7", "\"id\":-1"},       {"\"id\":7", "\"id\":7.5"},
+      {"\"ups\":1", "\"ups\":1e300"},  {"\"actions\":42", "\"actions\":nan"},
+      {"\"replica\":2", "\"replica\":-2147483649"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string mutated = line;
+    mutated.replace(mutated.find(from), from.size(), to);
+    EXPECT_FALSE(ParseReactionTraceJson(mutated, &bad)) << mutated;
+  }
+
+  // A tracer's JSONL export is the same line, newline-terminated.
+  TracerConfig config;
+  config.budget = Seconds(10.0);
+  ReactionTracer tracer(config);
+  tracer.OnDetection(0, 3, Seconds(1.0), Seconds(1.5), Seconds(1.6));
+  tracer.OnDecision(0, 2, Seconds(1.7));
+  tracer.OnEnforced(0, Seconds(2.5));
+  EXPECT_EQ(TracesToJsonl(tracer),
+            ReactionTraceToJson(tracer.traces().front()) + "\n");
 }
 
 TEST(TraceJsonTest, TraceEndpointServesPublishedTail)
